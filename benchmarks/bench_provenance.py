@@ -8,6 +8,11 @@ Two contracts from the provenance design:
 * recorder *on*: recording every newly-tainted net's cause edge must
   stay under 25% over the plain analysis on a real Table 1 workload.
 
+Recording is a paid diagnostic mode that evaluates with the numpy
+reference loop (the native kernel has no seam to diff per pass), so
+both sides run on the ``numpy`` engine: the ratio is what recording
+adds to that loop, not the distance from the native default.
+
 Emits ``BENCH_provenance.json`` with both ratios so the trajectory is
 tracked across commits.
 """
@@ -25,7 +30,7 @@ from repro.workloads.registry import BENCHMARKS
 
 @pytest.fixture(scope="module")
 def circuit():
-    return compiled_cpu()
+    return compiled_cpu("numpy")
 
 
 def _timed(func):

@@ -66,6 +66,7 @@ from repro.resilience import (
     VERDICT_EXIT_CODES,
     read_checkpoint,
 )
+from repro.sim.compiled import ENGINES
 from repro.transform import FundamentalViolation, secure_compile
 
 #: Canonical pipeline phases, in reporting order (the profile table always
@@ -656,15 +657,6 @@ def cmd_perf(args) -> int:
     )
     print()
     fraction = document["attributed_fraction"]
-    if document["engine"] == "event":
-        evaluated = sum(rank["evals"] for rank in document["ranks"])
-        skipped = document["skipped_evals"]
-        total = evaluated + skipped
-        share = 100 * skipped / total if total else 0.0
-        print(
-            f"event engine: {skipped} of {total} gate evaluations "
-            f"skipped ({share:.1f}%)"
-        )
     print(
         f"attributed {document['attributed_seconds']:.3f}s of "
         f"{document['wall_seconds']:.3f}s wall "
@@ -1294,11 +1286,12 @@ def build_parser() -> argparse.ArgumentParser:
     def engine_flag(p):
         p.add_argument(
             "--engine",
-            choices=["dense", "event"],
+            choices=list(ENGINES),
             default="dense",
-            help="gate evaluation engine: dense (default) evaluates "
-            "every gate each pass; event evaluates only gates whose "
-            "inputs changed (bit-identical results)",
+            help="gate evaluation engine: dense (default) runs the "
+            "native C kernel (the numpy loop if no C compiler is "
+            "found); numpy runs the numpy reference loop, the "
+            "bit-identical oracle",
         )
 
     def obs_flags(p):

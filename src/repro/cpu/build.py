@@ -192,9 +192,9 @@ def build_cpu() -> Netlist:
 def compiled_cpu(engine: str = "dense") -> CompiledCircuit:
     """The compiled LP430 (cached -- elaboration takes a moment).
 
-    One cache slot per evaluation engine: the dense and event circuits
-    share nothing mutable, so analyses with different ``--engine`` flags
-    can coexist in one process.
+    One cache slot per evaluation engine (``dense`` or the ``numpy``
+    oracle): the circuits share nothing mutable, so analyses with
+    different ``--engine`` flags can coexist in one process.
     """
     return CompiledCircuit(build_cpu(), engine=engine)
 

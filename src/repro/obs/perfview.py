@@ -14,7 +14,7 @@ fonts fetched from anywhere), matching the repo's other reports:
 * per-**cell-type** totals;
 * the **cone quiescence map**: per output-port fan-in cone, how often
   its boundary inputs changed between samples and how much of it
-  toggles -- the evidence for event-driven evaluation.
+  toggles.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def build_perf_report(document: dict, title: Optional[str] = None) -> str:
 <h2>Cone quiescence map</h2>
 <p class='legend'>per output-port fan-in cone; <em>quiescent</em> =
 fraction of sampled passes where no boundary input (flip-flop Q, port,
-constant) changed -- the share an event-driven backend could skip.</p>
+constant) changed.</p>
 <table>
 <tr><th>port cone</th><th class='num'>nets</th>
 <th class='num'>inputs</th><th class='num'>depth</th>

@@ -173,7 +173,7 @@ def run_analyze_all(
     ``budget`` is an :class:`AnalysisBudget` kwargs dict applied *per
     workload* (each analysis gets its own fresh instance, so a deadline
     bounds each workload, not the sweep).  ``engine`` selects the gate
-    evaluation engine (``dense`` | ``event``) for every workload;
+    evaluation engine (``dense`` | ``numpy``) for every workload;
     verdicts are bit-identical either way.
     """
     jobs = max(1, int(jobs))

@@ -35,6 +35,7 @@ from repro.resilience.errors import (
     ForkError,
     InjectedFault,
     InputError,
+    MalformedCodesError,
     ReproError,
     SimulationError,
     taxonomy,
@@ -78,6 +79,7 @@ __all__ = [
     "AnalysisError",
     "SimulationError",
     "ForkError",
+    "MalformedCodesError",
     "CheckpointError",
     "AnalysisInterrupted",
     "InjectedFault",

@@ -130,6 +130,19 @@ class ForkError(AnalysisError):
     code = "FORK"
 
 
+class MalformedCodesError(AnalysisError):
+    """A simulation state holds net codes outside ``0..5``.
+
+    Raised by :meth:`~repro.sim.compiled.CompiledCircuit.set_dff_state`
+    and by both gate-evaluation backends before a bad code can select a
+    wrong (numpy) or out-of-bounds (native) LUT entry.  Not retriable
+    (inherited): the same state is malformed on every attempt.
+    """
+
+    code = "MALFORMED_CODES"
+    phase = "simulate"
+
+
 class CheckpointError(ReproError):
     """A checkpoint file is corrupt, stale, or version-incompatible.
 
@@ -195,6 +208,7 @@ def taxonomy() -> tuple:
         AnalysisError,
         SimulationError,
         ForkError,
+        MalformedCodesError,
         TrackerError,
         CheckpointError,
         AnalysisInterrupted,

@@ -42,6 +42,7 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.retry import RetryPolicy
 from repro.service.supervisor import Supervisor, WorkerEnd
+from repro.sim.compiled import ENGINES
 
 
 #: Histogram bounds (seconds) for service latencies: submit-fsync sits
@@ -238,8 +239,10 @@ class AnalysisService:
     ) -> JobRecord:
         if policy not in ("untrusted", "secret"):
             raise ValueError(f"unknown policy {policy!r} (untrusted|secret)")
-        if engine not in ("dense", "event"):
-            raise ValueError(f"unknown engine {engine!r} (dense|event)")
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r} ({'|'.join(ENGINES)})"
+            )
         with self.lock:
             if self.draining:
                 raise Draining("service is draining; resubmit elsewhere")

@@ -111,7 +111,7 @@ class JobRecord:
     artifacts: Dict[str, str] = field(default_factory=dict)
     fault_injection: Optional[Dict[str, Any]] = None
     history: List[Dict[str, Any]] = field(default_factory=list)
-    #: simulator engine the worker runs (``dense`` | ``event``)
+    #: simulator engine the worker runs (``dense`` | ``numpy``)
     engine: str = "dense"
     #: latest heartbeat progress document from the running worker (the
     #: daemon refreshes it every tick; engines older than trace v4 and
@@ -129,7 +129,12 @@ class JobRecord:
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "JobRecord":
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in document.items() if k in known})
+        record = cls(**{k: v for k, v in document.items() if k in known})
+        if record.engine == "event":
+            # Written before the event engine was removed.  It was
+            # bit-identical to dense, so replaying as dense is exact.
+            record.engine = "dense"
+        return record
 
     def summary(self) -> Dict[str, Any]:
         """The ``GET /jobs`` listing entry (no source body)."""

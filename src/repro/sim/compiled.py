@@ -15,23 +15,18 @@ A net's code packs its ternary value and taint into one byte::
 
 so a k-input gate's LUT has ``6**k`` entries, and evaluating a group of N
 same-type gates is one gather ``lut[idx]`` over an N-vector of base-6 packed
-input codes.  The per-cycle cost is a few dozen numpy operations regardless
-of gate count.
+input codes.
 
-Two evaluation engines share these kernels (DESIGN.md section 13):
+Two engines evaluate those levels (DESIGN.md section 13):
 
-* ``engine="dense"`` (the default) evaluates every gate group each pass
-  -- simple, and the correctness anchor;
-* ``engine="event"`` evaluates only gates whose inputs actually changed:
-  per-state dirty sets are seeded from changed boundary nets (ports,
-  flip-flop Qs, constants), a fanout index maps changed nets to affected
-  gates, and a write-back that detects "output unchanged" stops
-  propagation, so quiescent cones cost zero evaluations.  The engines
-  are lockstep bit-identical (``tests/sim/test_engine_equivalence.py``);
-  the event engine's external-write contract is that between evaluation
-  passes only *boundary* nets are written (true of every caller: ports
-  via :meth:`CompiledCircuit.set_input`, DFF Qs via
-  :meth:`CompiledCircuit.set_dff_state` / ``force_pc`` / clock edges).
+* ``engine="dense"`` (the default) flattens each evaluation order into
+  per-gate rows and runs them through the native C kernel of
+  :mod:`repro.sim.native`;
+* ``engine="numpy"`` runs the numpy loop above: the differential oracle
+  the native kernel is lockstep-tested against
+  (``tests/sim/test_engine_equivalence.py``).  The dense engine also
+  falls back to it when no C compiler is available, and in the paid
+  diagnostic modes (provenance recording, perf attribution).
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +42,13 @@ from repro.logic.glift import GATE_FUNCTIONS, glift_eval
 from repro.logic.ternary import UNKNOWN
 from repro.logic.words import TWord
 from repro.netlist.cells import CONSTANT_CELLS
-from repro.netlist.levelize import build_fanout_index, levelize
+from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Netlist
 from repro.obs import get_observer
 from repro.obs.perf import get_perf
 from repro.obs.provenance import get_recorder
+from repro.resilience.errors import MalformedCodesError
+from repro.sim import native
 
 #: Codes for common states.
 CODE_0 = 0  # value 0, untainted
@@ -59,7 +56,9 @@ CODE_1 = 2  # value 1, untainted
 CODE_X = 4  # value X, untainted
 
 #: The evaluation engines :class:`CompiledCircuit` supports.
-ENGINES = ("dense", "event")
+ENGINES = ("dense", "numpy")
+
+_UINT8 = np.dtype(np.uint8)
 
 
 def code_of(value: int, taint: int) -> int:
@@ -133,164 +132,39 @@ class _Group:
     cell_type: str = ""
 
 
-class _EventScratch:
-    """Per-state dirty bookkeeping for the event engine.
+def _eval_levels(
+    codes: np.ndarray, levels: List[List[_Group]], slots=None
+) -> None:
+    """The numpy loop: one base-6 LUT gather per (level, cell type) group.
 
-    Travels with the :class:`CircuitState` (forks copy it, so each fork
-    propagates its own changes), never with the circuit: the circuit's
-    event tables are shared read-only across every state.
-
-    * ``shadow`` mirrors the boundary nets' codes as of the last
-      evaluation pass; diffing against it at pass start detects every
-      external write (ports, DFF restores, clock edges) without hooks.
-    * ``pending`` is one flag per global gate id: the gate's output may
-      be stale and it must be re-evaluated before it can be trusted.  A
-      cone-plan pass clears only its own gates' flags; the rest stay
-      pending for the next full pass.
-    * ``level_flags`` (a plain list -- scalar indexing is hotter than
-      numpy here) marks levels owning at least one pending gate, so a
-      quiescent level costs one boolean test.
+    With *slots* (perf attribution) each group's wall time is added to
+    ``slots[level][group][0]``.
     """
-
-    __slots__ = (
-        "shadow", "pending", "level_flags",
-        "last_evals", "last_groups",
-    )
-
-    def __init__(self, boundary_codes: np.ndarray, num_gates: int,
-                 num_levels: int):
-        self.shadow = boundary_codes.copy()
-        self.pending = np.ones(num_gates, dtype=bool)
-        self.level_flags = [True] * num_levels
-        #: diagnostics: gates / groups evaluated by the most recent pass
-        self.last_evals = 0
-        self.last_groups = 0
-
-    def copy(self) -> "_EventScratch":
-        clone = _EventScratch.__new__(_EventScratch)
-        clone.shadow = self.shadow.copy()
-        clone.pending = self.pending.copy()
-        clone.level_flags = list(self.level_flags)
-        clone.last_evals = self.last_evals
-        clone.last_groups = self.last_groups
-        return clone
-
-
-class _EventTables:
-    """Shared, derived lookup structure for the event engine.
-
-    Built lazily on first event-mode evaluation and dropped by
-    ``__getstate__`` (cheap to rebuild, and id-keyed plan masks must not
-    cross process boundaries).
-    """
-
-    __slots__ = (
-        "levels", "fanout", "gate_level", "boundary",
-        "num_gates", "num_levels", "gid_of_net", "plan_masks",
-        "meta_memo", "burst_limit",
-    )
-
-    def __init__(self, circuit: "CompiledCircuit"):
-        # Global gate numbering: (level, group, row) in evaluation order.
-        # Each level entry is ``(lstart, lend, offsets, groups)``: the
-        # level's contiguous gid range, its groups' start offsets inside
-        # that range (numpy for searchsorted, +sentinel), and per-group
-        # ``(lut, inputs, outputs, cell_type, offset, size)`` tuples --
-        # shaped so one flatnonzero over the level's pending window plus
-        # one searchsorted splits the active rows between groups.
-        levels = []
-        edges = []
-        base = 0
-        gate_level_parts = []
-        gid_of_net = np.full(circuit.num_nets, -1, dtype=np.int64)
-        for level_index, groups in enumerate(circuit._levels):
-            lstart = base
-            entries = []
-            offsets = []
-            for group in groups:
-                size = len(group.outputs)
-                gids = np.arange(base, base + size, dtype=np.int64)
-                for column in group.inputs:
-                    edges.append((column, gids))
-                gid_of_net[group.outputs] = gids
-                offsets.append(base - lstart)
-                entries.append(
-                    (group.lut, group.inputs, group.outputs,
-                     group.cell_type, base - lstart, size)
+    for level_index, groups in enumerate(levels):
+        for group_index, group in enumerate(groups):
+            if slots is not None:
+                group_start = perf_counter()
+            index = codes[group.inputs[0]].astype(np.int32)
+            for column in group.inputs[1:]:
+                index *= 6
+                index += codes[column]
+            codes[group.outputs] = group.lut[index]
+            if slots is not None:
+                slots[level_index][group_index][0] += (
+                    perf_counter() - group_start
                 )
-                gate_level_parts.append(
-                    np.full(size, level_index, dtype=np.int64)
-                )
-                base += size
-            offsets.append(base - lstart)
-            levels.append(
-                (lstart, base,
-                 np.array(offsets, dtype=np.int64), entries)
-            )
-        self.levels = levels
-        self.num_gates = base
-        self.num_levels = len(levels)
-        self.fanout = build_fanout_index(circuit.num_nets, edges)
-        self.gate_level = (
-            np.concatenate(gate_level_parts)
-            if gate_level_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        self.gid_of_net = gid_of_net
-        # Boundary nets: everything not produced by a combinational
-        # gate -- input ports, DFF Qs, constants, dangling nets.  These
-        # are the only nets external code writes between passes.
-        produced = np.zeros(circuit.num_nets, dtype=bool)
-        produced[gid_of_net >= 0] = True
-        self.boundary = np.nonzero(~produced)[0]
-        #: id(plan) -> (plan ref, bool mask over global gate ids);
-        #: the ref pins the plan so ids cannot be recycled
-        self.plan_masks: Dict[int, tuple] = {}
-        #: perf-attribution meta memo, same keying discipline
-        self.meta_memo: Dict[Optional[int], list] = {}
-        #: once a pass has evaluated this many gates, the sparse
-        #: bookkeeping (nonzero scans, fanout marking) costs more than
-        #: it saves; the rest of the pass completes densely.  ~6% of
-        #: the circuit is where the two engines' per-gate costs cross
-        #: over on the LP430 (measured; see DESIGN.md section 13).
-        self.burst_limit = max(64, self.num_gates // 16)
-
-    def plan_mask(self, plan) -> np.ndarray:
-        """Global-gate membership mask for a :meth:`cone_plan` plan."""
-        key = id(plan)
-        cached = self.plan_masks.get(key)
-        if cached is not None and cached[0] is plan:
-            return cached[1]
-        mask = np.zeros(self.num_gates, dtype=bool)
-        for groups in plan:
-            for group in groups:
-                gids = self.gid_of_net[group.outputs]
-                mask[gids] = True
-        self.plan_masks[key] = (plan, mask)
-        return mask
 
 
 class CircuitState:
-    """Per-net codes for one simulation state (mutable, cheap to copy).
+    """Per-net codes for one simulation state (mutable, cheap to copy)."""
 
-    ``ev`` is the event engine's per-state dirty bookkeeping (None until
-    the first event-mode evaluation, and always None under the dense
-    engine); forking a state with :meth:`copy` carries it along so both
-    branches keep propagating only their own changes.
-    """
+    __slots__ = ("codes",)
 
-    __slots__ = ("codes", "ev")
-
-    def __init__(self, codes: np.ndarray,
-                 ev: Optional[_EventScratch] = None):
+    def __init__(self, codes: np.ndarray):
         self.codes = codes
-        self.ev = ev
 
     def copy(self) -> "CircuitState":
-        return CircuitState(
-            self.codes.copy(),
-            self.ev.copy() if self.ev is not None else None,
-        )
+        return CircuitState(self.codes.copy())
 
 
 class CompiledCircuit:
@@ -388,14 +262,15 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
 
     #: Derived attributes that must NOT ship across a pickle boundary:
-    #: either their keys are object ids from *this* process (meaningless
-    #: and potentially colliding in a worker) or they embed such ids
-    #: (the event tables' plan-mask memo).  All are rebuilt lazily, so a
-    #: worker pays at most one cheap reconstruction -- never a
-    #: re-levelization.  Auditing note: every new id-keyed or lazily
-    #: built cache added to this class belongs in this tuple;
-    #: ``tests/sim/test_engine_equivalence.py`` pins the round-trip.
-    _DERIVED_CACHES = ("_prod_tables", "_ev_tables")
+    #: their keys are object ids from *this* process (meaningless and
+    #: potentially colliding in a worker) or they embed its memory
+    #: addresses (the native row tables cache array pointers for the
+    #: kernel).  All are rebuilt lazily, so a worker pays at most one
+    #: cheap reconstruction -- never a re-levelization.  Auditing note:
+    #: every new id-keyed or lazily built cache added to this class
+    #: belongs in this tuple; ``tests/sim/test_engine_equivalence.py``
+    #: pins the round-trip.
+    _DERIVED_CACHES = ("_prod_tables", "_row_tables", "_cone_plans")
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -431,6 +306,31 @@ class CompiledCircuit:
         return state.codes[self._dff_q].copy()
 
     def set_dff_state(self, state: CircuitState, snapshot: np.ndarray) -> None:
+        """Restore a :meth:`dff_state` snapshot.
+
+        The snapshot must be a uint8 array of one code (0-5) per
+        flip-flop; anything else raises :class:`MalformedCodesError`
+        instead of reaching a LUT as a wrong or out-of-bounds index.
+        """
+        if (
+            not isinstance(snapshot, np.ndarray)
+            or snapshot.dtype != _UINT8
+            or snapshot.shape != self._dff_q.shape
+        ):
+            raise MalformedCodesError(
+                f"flip-flop snapshot must be a uint8 array of shape "
+                f"{self._dff_q.shape}; got "
+                f"{getattr(snapshot, 'dtype', type(snapshot).__name__)} "
+                f"{getattr(snapshot, 'shape', '')}",
+            )
+        if len(snapshot) and int(snapshot.max()) > native.MAX_CODE:
+            index = int(np.argmax(snapshot > native.MAX_CODE))
+            raise MalformedCodesError(
+                f"flip-flop {index} snapshot code {int(snapshot[index])} "
+                f"is out of range (valid codes are 0-{native.MAX_CODE})",
+                dff=index,
+                net_code=int(snapshot[index]),
+            )
         state.codes[self._dff_q] = snapshot
 
     @property
@@ -510,363 +410,71 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     def eval_combinational(self, state: CircuitState) -> None:
         """Propagate codes through all combinational logic (one pass)."""
-        if self.engine == "event":
-            self._eval_event(state, plan=None)
-            return
-        codes = state.codes
-        if len(self._const_nets_arr):
-            codes[self._const_nets_arr] = self._const_codes_arr
-        recorder = get_recorder()
-        perf = get_perf() if recorder is None else None
-        if recorder is not None:
-            self._eval_levels_recording(codes, self._levels, recorder)
-        elif perf is not None:
-            self._eval_levels_timed(codes, self._levels, perf, "full")
-            perf.ensure_bound(self)
-            perf.sample(codes)
-        else:
-            for groups in self._levels:
-                for group in groups:
-                    index = codes[group.inputs[0]].astype(np.int32)
-                    for column in group.inputs[1:]:
-                        index *= 6
-                        index += codes[column]
-                    codes[group.outputs] = group.lut[index]
+        self._evaluate(state, self._levels, "full")
         obs = get_observer()
         if obs.enabled:
             self._count_gate_evals(obs, self._gates_by_type,
                                    self._total_gates)
 
-    # ------------------------------------------------------------------
-    # Event-driven evaluation
-    # ------------------------------------------------------------------
-    def _event_tables(self) -> _EventTables:
-        tables = getattr(self, "_ev_tables", None)
-        if tables is None:
-            tables = self._ev_tables = _EventTables(self)
-        return tables
-
-    def _event_scratch(
-        self, state: CircuitState, tables: _EventTables
-    ) -> _EventScratch:
-        """The state's dirty bookkeeping, created on first event pass.
-
-        Creation applies the constant cells (they are boundary nets the
-        dense engine rewrites every pass; here they are written exactly
-        once) and marks every gate pending, so the first pass is a full
-        one regardless of what the codes array currently holds.
-        """
-        scratch = state.ev
-        if (
-            scratch is None
-            or len(scratch.pending) != tables.num_gates
-            or len(scratch.shadow) != len(tables.boundary)
-        ):
-            if len(self._const_nets_arr):
-                state.codes[self._const_nets_arr] = self._const_codes_arr
-            scratch = state.ev = _EventScratch(
-                state.codes[tables.boundary],
-                tables.num_gates,
-                tables.num_levels,
-            )
-        return scratch
-
-    def _mark_fanout(
-        self,
-        tables: _EventTables,
-        scratch: _EventScratch,
-        changed_nets: np.ndarray,
+    def _evaluate(
+        self, state: CircuitState, levels: List[List[_Group]], kind: str
     ) -> None:
-        """Flag every gate reading a changed net (and its level).
+        """One pass over *levels*: the full order or a cone plan.
 
-        Level flags live in a plain python list (scalar reads in the
-        sweep are ~3x cheaper than numpy element access), so small
-        batches loop directly while large ones -- fanout lists repeat
-        gates heavily during bursts -- are deduplicated to at most one
-        flag write per level via bincount, keeping the mark cost
-        O(batch) instead of O(batch) *python* iterations.
+        The ``dense`` engine runs the native kernel.  The numpy loop
+        runs instead under ``engine="numpy"`` (the oracle), when the
+        kernel cannot be built here, and in the paid diagnostic modes
+        (a provenance or perf-attribution recorder armed).  Both
+        backends reject a malformed codes array, and an out-of-range
+        code, with the same :class:`MalformedCodesError`.
         """
-        gids = tables.fanout.gather(changed_nets)
-        if len(gids) == 0:
-            return
-        scratch.pending[gids] = True
-        flags = scratch.level_flags
-        if len(gids) <= 16:
-            for level in tables.gate_level[gids].tolist():
-                flags[level] = True
-        else:
-            hit = np.bincount(
-                tables.gate_level[gids], minlength=tables.num_levels
-            )
-            for level in np.flatnonzero(hit).tolist():
-                flags[level] = True
-
-    def _eval_event(self, state: CircuitState, plan) -> None:
-        """One event-driven pass (full when *plan* is None, else the
-        cone-plan subset).
-
-        Phases: (1) seed -- diff the boundary nets against the shadow
-        snapshot and flag the fanout of every changed net; (2) sweep --
-        walk flagged levels in rank order evaluating only pending gates
-        (restricted to the plan's gates for a cone pass; non-plan gates
-        stay pending for the next full pass), writing back and flagging
-        fanout only where an output actually changed.  A provenance
-        recorder forces a dense recording pass over the same plan --
-        provenance is an explicitly paid-for diagnostic mode -- which
-        settles every gate it covers, so the pending flags it clears
-        keep the sparse invariant exact.
-        """
-        tables = self._event_tables()
-        scratch = self._event_scratch(state, tables)
         codes = state.codes
-
-        # Phase 1: seed from externally written boundary nets.
-        boundary = tables.boundary
-        current = codes[boundary]
-        diff = current != scratch.shadow
-        if diff.any():
-            scratch.shadow[diff] = current[diff]
-            self._mark_fanout(tables, scratch, boundary[diff])
-
-        recorder = get_recorder()
-        if recorder is not None:
-            self._eval_levels_recording(
-                codes, self._levels if plan is None else plan, recorder
-            )
-            if plan is None:
-                scratch.pending[:] = False
-                scratch.level_flags = [False] * tables.num_levels
-            else:
-                scratch.pending &= ~tables.plan_mask(plan)
-            self._count_event_pass(plan, None, dense=True)
-            return
-
-        perf = get_perf()
-        kind = "full" if plan is None else "interface"
-        slots = None
-        if perf is not None:
-            slots = perf.group_slots(
-                tables.levels if plan is None else plan,
-                kind,
-                counted=True,
-                meta=self._event_perf_meta(tables, plan),
-            )
-            perf.ensure_bound(self)
-            pass_start = perf_counter()
-
-        plan_mask = None if plan is None else tables.plan_mask(plan)
-        pending = scratch.pending
-        flags = scratch.level_flags
-        evals = 0
-        groups_run = 0
-        by_type: Optional[Dict[str, int]] = None
-        if get_observer().enabled:
-            by_type = {}
-        for level_index, (lstart, lend, offsets, entries) in enumerate(
-            tables.levels
+        flags = codes.flags
+        if (
+            codes.dtype != _UINT8
+            or codes.shape != (self.num_nets,)
+            or not flags.c_contiguous
+            or not flags.writeable
         ):
-            if not flags[level_index]:
-                continue
-            if plan is None:
-                flags[level_index] = False
-            window = pending[lstart:lend]
-            rows_all = np.flatnonzero(window)
-            if plan_mask is not None and len(rows_all):
-                rows_all = rows_all[plan_mask[lstart:lend][rows_all]]
-            if not len(rows_all):
-                continue
-            window[rows_all] = False
-            cuts = np.searchsorted(rows_all, offsets).tolist()
-            changed_lists = []
-            for group_index, (lut, inputs, outputs, cell_type,
-                              offset, size) in enumerate(entries):
-                start, stop = cuts[group_index], cuts[group_index + 1]
-                active = stop - start
-                if not active:
-                    continue
-                if slots is not None:
-                    group_start = perf_counter()
-                if active == size:
-                    rows = slice(None)  # whole group: skip the gathers
-                else:
-                    rows = rows_all[start:stop] - offset
-                index = codes[inputs[0][rows]].astype(np.int32)
-                for column in inputs[1:]:
-                    index *= 6
-                    index += codes[column[rows]]
-                new_codes = lut[index]
-                outs = outputs[rows]
-                delta = codes[outs] != new_codes
-                codes[outs] = new_codes
-                if delta.any():
-                    changed_lists.append(outs[delta])
-                evals += active
-                groups_run += 1
-                if by_type is not None:
-                    by_type[cell_type] = (
-                        by_type.get(cell_type, 0) + active
-                    )
-                if slots is not None:
-                    slot = slots[level_index][group_index]
-                    slot[0] += perf_counter() - group_start
-                    slot[1] += active
-            if (
-                evals >= tables.burst_limit
-                and level_index + 1 < tables.num_levels
-            ):
-                # Activity burst: the sparse bookkeeping has stopped
-                # paying for itself; finish the pass densely.
-                if plan is None:
-                    # Evaluate the remaining levels in full (no marking
-                    # needed -- everything downstream runs) and settle
-                    # all their pending flags at once.
-                    evals, groups_run = self._finish_dense(
-                        tables, scratch, codes, level_index + 1,
-                        slots, by_type, evals, groups_run,
-                    )
-                    break
-                if slots is None:
-                    # Cone-plan burst: settle the *entire* circuit
-                    # densely.  Finishing just the cone would need
-                    # delta tracking to keep non-cone consumers of
-                    # changed cone nets pending; a full settle clears
-                    # every obligation at once, and the gates outside
-                    # the cone compute from already-settled inputs, so
-                    # the result is the same fixpoint the dense engine
-                    # reaches by the end of the cycle.  (Not taken
-                    # under perf attribution: a plan pass's counted
-                    # slots do not map onto a full sweep, and perf runs
-                    # are diagnostic anyway.)
-                    evals, groups_run = self._finish_dense(
-                        tables, scratch, codes, 0,
-                        None, by_type, evals, groups_run,
-                    )
-                    plan = None  # count against the full circuit
-                    break
-            if changed_lists:
-                self._mark_fanout(
-                    tables,
-                    scratch,
-                    changed_lists[0]
-                    if len(changed_lists) == 1
-                    else np.concatenate(changed_lists),
-                )
-        scratch.last_evals = evals
-        scratch.last_groups = groups_run
-        if perf is not None:
+            raise MalformedCodesError(
+                f"codes must be a writeable, C-contiguous uint8 array "
+                f"of {self.num_nets} nets; got {codes.dtype} "
+                f"{codes.shape}",
+                dtype=str(codes.dtype),
+                shape=list(codes.shape),
+            )
+        rows = self._rows(levels)
+        recorder = get_recorder()
+        perf = get_perf() if recorder is None else None
+        if recorder is None and perf is None and self.engine == "dense":
+            kernel = native.kernel()
+            if kernel is not None:
+                rows.run(kernel, codes)
+                return
+        rows.check(codes)
+        if len(self._const_nets_arr):
+            codes[self._const_nets_arr] = self._const_codes_arr
+        if recorder is not None:
+            self._eval_levels_recording(codes, levels, recorder)
+        elif perf is not None:
+            slots = perf.group_slots(levels, kind)
+            pass_start = perf_counter()
+            _eval_levels(codes, levels, slots)
             perf.note_pass(kind, perf_counter() - pass_start)
-            if plan is None:
+            if kind == "full":
+                perf.ensure_bound(self)
                 perf.sample(codes)
-        self._count_event_pass(plan, (by_type, evals), dense=False)
-
-    def _finish_dense(
-        self, tables, scratch, codes, start, slots, by_type,
-        evals, groups_run,
-    ):
-        """Dense completion of a bursting full pass, from level *start*.
-
-        Every gate of every remaining level is evaluated (the plain
-        dense inner loop), which makes the pending flags for those
-        levels vacuously satisfied: they are cleared wholesale.  Levels
-        before *start* were already settled by the sparse sweep, so the
-        whole pass ends with the same invariant a quiet pass leaves --
-        no pending gate anywhere.
-        """
-        for level_index in range(start, tables.num_levels):
-            _lstart, _lend, _offsets, entries = tables.levels[level_index]
-            for group_index, (lut, inputs, outputs, cell_type,
-                              _offset, size) in enumerate(entries):
-                if slots is not None:
-                    group_start = perf_counter()
-                index = codes[inputs[0]].astype(np.int32)
-                for column in inputs[1:]:
-                    index *= 6
-                    index += codes[column]
-                codes[outputs] = lut[index]
-                evals += size
-                groups_run += 1
-                if by_type is not None:
-                    by_type[cell_type] = (
-                        by_type.get(cell_type, 0) + size
-                    )
-                if slots is not None:
-                    slot = slots[level_index][group_index]
-                    slot[0] += perf_counter() - group_start
-                    slot[1] += size
-        scratch.pending[tables.levels[start][0]:] = False
-        flags = scratch.level_flags
-        for level_index in range(start, tables.num_levels):
-            flags[level_index] = False
-        return evals, groups_run
-
-    def _event_perf_meta(self, tables: _EventTables, plan):
-        """(cell type, gates-per-pass) meta aligned with the event
-        sweep's (level, group) structure, for attribution reports.
-
-        For a cone plan the gate count is the number of *plan* gates in
-        each group, so the skipped-eval reconstruction compares actual
-        evaluations against what a dense pass over the same plan would
-        have cost.  Memoised: the perf recorder only reads it on first
-        sight, but it is requested every pass.
-        """
-        key = None if plan is None else id(plan)
-        meta = tables.meta_memo.get(key)
-        if meta is not None:
-            return meta
-        if plan is None:
-            meta = [
-                [(cell_type, size)
-                 for (_l, _i, _o, cell_type, _off, size) in entries]
-                for (_s, _e, _offs, entries) in tables.levels
-            ]
         else:
-            mask = tables.plan_mask(plan)  # also pins the plan ref
-            meta = [
-                [
-                    (
-                        cell_type,
-                        int(mask[lstart + off:lstart + off + size].sum()),
-                    )
-                    for (_l, _i, _o, cell_type, off, size) in entries
-                ]
-                for (lstart, _e, _offs, entries) in tables.levels
-            ]
-        tables.meta_memo[key] = meta
-        return meta
+            _eval_levels(codes, levels)
 
-    def _count_event_pass(self, plan, counted, dense: bool) -> None:
-        """Gate-eval counters for an event pass.
-
-        The dense engine's counters reconstruct ``gates x passes``; the
-        event engine reports what actually ran plus an explicit
-        ``sim.gate_evals_skipped`` so the quiescence win is visible in
-        every metrics snapshot.
-        """
-        obs = get_observer()
-        if not obs.enabled:
-            return
-        if plan is None:
-            total_by_type, total = self._gates_by_type, self._total_gates
-        else:
-            total_by_type, total = self._totals_of_plan(plan)
-        if dense:
-            # Provenance fallback evaluated the whole plan.
-            self._count_gate_evals(obs, total_by_type, total)
-            return
-        by_type, evals = counted
-        metrics = obs.metrics
-        metrics.counter("sim.eval_passes").inc()
-        metrics.counter("sim.gate_evals").value += evals
-        # A burst-escalated pass can re-evaluate a few gates the sparse
-        # sweep already ran, pushing evals past the dense-pass total.
-        metrics.counter("sim.gate_evals_skipped").value += max(
-            0, total - evals
-        )
-        if by_type:
-            for cell_type, count in by_type.items():
-                metrics.counter(
-                    f"sim.gate_evals.{cell_type}"
-                ).value += count
+    def _rows(self, levels: List[List[_Group]]) -> native.GateRows:
+        """Kernel rows for *levels* (built on first use, then memoised)."""
+        tables = getattr(self, "_row_tables", None)
+        if tables is None:
+            tables = self._row_tables = native.RowTables(
+                self._const_nets_arr, self._const_codes_arr, self._levels
+            )
+        return tables.rows_for(levels)
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
@@ -914,13 +522,7 @@ class CompiledCircuit:
         slicer relies on a cause being recorded before its effect.
         """
         before = codes.copy()
-        for groups in levels:
-            for group in groups:
-                index = codes[group.inputs[0]].astype(np.int32)
-                for column in group.inputs[1:]:
-                    index *= 6
-                    index += codes[column]
-                codes[group.outputs] = group.lut[index]
+        _eval_levels(codes, levels)
         fresh = np.nonzero(codes & ~before & 1)[0]
         if len(fresh) == 0:
             return
@@ -936,32 +538,6 @@ class CompiledCircuit:
         )
         if mask.any():
             recorder.record_gate(dst_flat[mask], src_flat[mask])
-
-    def _eval_levels_timed(
-        self, codes: np.ndarray, levels: List[List[_Group]], perf, kind: str
-    ) -> None:
-        """The evaluation loop with per-(rank, cell-type) timing.
-
-        Identical numpy work to the plain path plus two ``perf_counter``
-        calls and one accumulator add per group (eval counts are
-        reconstructed from pass counts at report time) -- the overhead
-        is benched under 15% by
-        ``benchmarks/bench_perf_attribution.py``.
-        The pass total is timed separately so the dispatch overhead
-        (loop bookkeeping between groups) is attributable too.
-        """
-        slots = perf.group_slots(levels, kind)
-        pass_start = perf_counter()
-        for groups, level_slots in zip(levels, slots):
-            for group, slot in zip(groups, level_slots):
-                group_start = perf_counter()
-                index = codes[group.inputs[0]].astype(np.int32)
-                for column in group.inputs[1:]:
-                    index *= 6
-                    index += codes[column]
-                codes[group.outputs] = group.lut[index]
-                slot[0] += perf_counter() - group_start
-        perf.note_pass(kind, perf_counter() - pass_start)
 
     def _count_gate_evals(self, obs, by_type: Dict[str, int],
                           total: int) -> None:
@@ -1002,8 +578,21 @@ class CompiledCircuit:
 
         Used by the SoC's first evaluation pass, which only needs the
         memory-interface signals; the full pass runs after read data is
-        applied.
+        applied.  Memoised per port list: every SoC on this circuit
+        shares one plan, so the per-plan kernel rows and counters stay
+        one entry each however many analyses run.
         """
+        key = tuple(port_names)
+        plans = getattr(self, "_cone_plans", None)
+        if plans is None:
+            plans = self._cone_plans = {}
+        if key not in plans:
+            plans[key] = self._build_cone_plan(key)
+        return plans[key]
+
+    def _build_cone_plan(
+        self, port_names: Sequence[str]
+    ) -> List[List[_Group]]:
         wanted = set()
         for name in port_names:
             wanted.update(self._outputs[name])
@@ -1055,26 +644,7 @@ class CompiledCircuit:
         self, state: CircuitState, plan: List[List[_Group]]
     ) -> None:
         """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
-        if self.engine == "event":
-            self._eval_event(state, plan)
-            return
-        codes = state.codes
-        if len(self._const_nets_arr):
-            codes[self._const_nets_arr] = self._const_codes_arr
-        recorder = get_recorder()
-        perf = get_perf() if recorder is None else None
-        if recorder is not None:
-            self._eval_levels_recording(codes, plan, recorder)
-        elif perf is not None:
-            self._eval_levels_timed(codes, plan, perf, "interface")
-        else:
-            for groups in plan:
-                for group in groups:
-                    index = codes[group.inputs[0]].astype(np.int32)
-                    for column in group.inputs[1:]:
-                        index *= 6
-                        index += codes[column]
-                    codes[group.outputs] = group.lut[index]
+        self._evaluate(state, plan, "interface")
         obs = get_observer()
         if obs.enabled:
             by_type, total = self._totals_of_plan(plan)

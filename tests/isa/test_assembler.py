@@ -227,6 +227,13 @@ class TestErrors:
         with pytest.raises(AssemblyError, match="unknown mnemonic"):
             assemble("frobnicate r4")
 
+    @pytest.mark.parametrize("source", ["mov.b r4, r5", "add.b #1, r4"])
+    def test_byte_suffix_is_rejected(self, source):
+        """The LP430 ISA is word-only: ``.b`` byte forms are refused,
+        not silently assembled as word operations (DESIGN.md §10)."""
+        with pytest.raises(AssemblyError, match="unknown mnemonic"):
+            assemble(source)
+
     def test_bad_operand_count(self):
         with pytest.raises(AssemblyError, match="takes 2"):
             assemble("mov r4")

@@ -116,7 +116,7 @@ class TestSelection:
         quick = select_benches(repo_root, quick=True)
         assert len(quick) == 3
         assert all(module.exists() for module in quick)
-        assert "bench_engine_event.py" in {m.name for m in quick}
+        assert "bench_engine_native.py" in {m.name for m in quick}
 
     def test_only_filters_by_fragment(self):
         from pathlib import Path

@@ -23,8 +23,11 @@ from repro.resilience import AnalysisInterrupted
 REPO = Path(__file__).resolve().parents[2]
 
 #: Forking Table 1 workloads slow enough (seconds each) that a signal
-#: sent shortly after the workers spin up lands mid-exploration.
+#: sent shortly after the workers spin up lands mid-exploration.  They
+#: run on the numpy reference engine: on the native kernel a whole
+#: analysis takes well under the one-second grace period below.
 SLOW_WORKLOADS = ["tHold", "binSearch"]
+SLOW_ENGINE = "numpy"
 
 
 def _group_pids(pgid: int) -> list:
@@ -57,6 +60,8 @@ def test_sigint_mid_sweep_exits_130_and_reaps_workers(tmp_path):
             *SLOW_WORKLOADS,
             "--jobs",
             "2",
+            "--engine",
+            SLOW_ENGINE,
             "-o",
             str(tmp_path / "out.json"),
         ],
@@ -118,6 +123,7 @@ def test_run_pool_raises_typed_interrupt_on_pending_signal():
             "policy": "untrusted",
             "max_cycles": 1_000_000,
             "budget": {"max_paths": 4096},
+            "engine": SLOW_ENGINE,
         }
         for name in SLOW_WORKLOADS
     ]

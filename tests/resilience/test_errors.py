@@ -81,6 +81,7 @@ class TestTaxonomyTable:
         "ANALYSIS": ("explore", False, 6),
         "SIMULATION": ("simulate", True, 6),
         "FORK": ("explore", False, 6),
+        "MALFORMED_CODES": ("simulate", False, 6),
         "TRACKER": ("explore", False, 6),
         "CHECKPOINT": ("checkpoint", False, 5),
         "INTERRUPTED": ("explore", True, 130),

@@ -85,6 +85,14 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert not excinfo.value.retriable
 
+    def test_retired_event_engine_is_400(self, served):
+        _, client = served
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(source=TINY_SECURE, engine="event")
+        assert excinfo.value.status == 400
+        assert not excinfo.value.retriable
+        assert "dense|numpy" in str(excinfo.value)
+
     def test_bad_json_is_400(self, served):
         _, client = served
         request = urllib.request.Request(

@@ -55,6 +55,20 @@ class TestAppendReplay:
         assert jobs[record.job_id].state == "running"
         assert jobs[record.job_id].attempts == 1
 
+    def test_event_engine_record_replays_as_dense(self, tmp_path):
+        """A record journaled by a daemon that still had the (since
+        removed, bit-identical) event engine resumes on dense."""
+        journal = JobJournal(tmp_path)
+        journal.replay()
+        record = _job(journal.next_seq)
+        record.engine = "event"
+        journal.append(record)
+        journal.close()
+
+        replayed = JobJournal(tmp_path).replay()[record.job_id]
+        assert replayed.engine == "dense"
+        assert replayed.digest == record.digest
+
     def test_torn_final_line_is_tolerated(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.replay()

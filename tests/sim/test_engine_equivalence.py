@@ -1,33 +1,43 @@
-"""Dense vs event engine: lockstep differential tests.
+"""Native vs numpy engine: lockstep differential tests.
 
-The event engine's contract is *bit-identical* results -- not "close",
-not "equivalent verdicts": the same codes array after every pass, the
-same violations, the same report text.  These tests enforce that
-contract at three granularities:
+The native kernel's contract is *bit-identical* results to the numpy
+reference loop -- not "close", not "equivalent verdicts": the same
+codes array after every pass, the same violations, the same report
+text.  These tests enforce that contract at three granularities:
 
 * SoC lockstep: two :class:`GateRunner`\\ s over the same workload,
   stepped cycle by cycle with the full 3027-net codes array compared
-  after every cycle, for every forking Table 1 workload.
+  after every cycle, for every Table 1 workload and for the naive
+  (ablation) taint tables.
 * Analysis equivalence: full :class:`TaintTracker` runs (verdict,
-  violation tuples, normalized report text), including across
-  checkpoint/save/resume and under ``jobs=2``.
+  violation tuples, every stats counter, normalized report text),
+  including across checkpoint/save/resume and under ``jobs=2``.
 * Random netlists: seeded random DAG circuits driven with random
-  ternary/tainted input sequences, dense vs event codes compared after
+  ternary/tainted input sequences, native vs numpy codes compared after
   every combinational settle and clock edge.
 
 A pickle round-trip regression pins the ``_DERIVED_CACHES`` audit:
-id-keyed derived tables must not survive a pickle boundary.
+the native row tables cache this process's array addresses and must
+not survive a pickle boundary.
+
+"dense" is the native engine wherever a C compiler is available; the
+first test fails loudly if it is not, so a silent fallback cannot turn
+this suite into numpy-vs-numpy.  (CI's no-compiler leg runs the rest
+of ``tests/sim`` on the fallback.)
 """
 
+import dataclasses
 import pickle
 import random
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core import TaintTracker
 from repro.cpu import compiled_cpu
+from repro.cpu.build import build_cpu
 from repro.isa.assembler import assemble
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
@@ -36,9 +46,12 @@ from repro.resilience import (
     Checkpointer,
     read_checkpoint,
 )
+from repro.sim import native
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.runner import GateRunner
 from repro.workloads.registry import BENCHMARKS, TABLE2_VIOLATORS
+
+HAS_COMPILER = any(shutil.which(name) for name in native.COMPILERS)
 
 
 def _program(name):
@@ -51,41 +64,48 @@ def _normalize(report):
     return re.sub(r"wall=\S+", "wall=<t>", report)
 
 
-def _violation_key(violation):
-    # Violation is a frozen dataclass: directly comparable.
-    return violation
-
-
 LOCKSTEP_CYCLES = 400
 
 
-class TestSoCLockstep:
-    """Cycle-by-cycle codes equality on the forking Table 1 workloads."""
+@pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler on PATH")
+def test_native_kernel_is_loaded():
+    assert native.kernel() is not None
 
-    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
+
+def _lockstep(name, native_circuit, numpy_circuit):
+    program = _program(name)
+    fast = GateRunner(native_circuit, program)
+    reference = GateRunner(numpy_circuit, program)
+    for cycle in range(LOCKSTEP_CYCLES):
+        fast.step()
+        reference.step()
+        assert np.array_equal(
+            fast.soc.state.codes, reference.soc.state.codes
+        ), f"{name}: codes diverged at cycle {cycle}"
+
+
+class TestSoCLockstep:
+    """Cycle-by-cycle codes equality on every Table 1 workload."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in BENCHMARKS if name != "mult"]
+    )
     def test_codes_bit_identical(self, name):
-        program = _program(name)
-        dense = GateRunner(compiled_cpu("dense"), program)
-        event = GateRunner(compiled_cpu("event"), program)
-        for cycle in range(LOCKSTEP_CYCLES):
-            dense.step()
-            event.step()
-            assert np.array_equal(
-                dense.soc.state.codes, event.soc.state.codes
-            ), f"{name}: codes diverged at cycle {cycle}"
+        _lockstep(name, compiled_cpu("dense"), compiled_cpu("numpy"))
 
     def test_codes_bit_identical_nonforking(self):
-        """A clean kernel too -- quiescent workloads exercise the
-        zero-activity fast path the violators' forks never hit."""
-        program = _program("mult")
-        dense = GateRunner(compiled_cpu("dense"), program)
-        event = GateRunner(compiled_cpu("event"), program)
-        for cycle in range(LOCKSTEP_CYCLES):
-            dense.step()
-            event.step()
-            assert np.array_equal(
-                dense.soc.state.codes, event.soc.state.codes
-            ), f"mult: codes diverged at cycle {cycle}"
+        """mult, the single-path kernel the straight-line perf
+        workload leans on."""
+        _lockstep("mult", compiled_cpu("dense"), compiled_cpu("numpy"))
+
+    def test_naive_taint_tables_bit_identical(self):
+        """The ablation's value-blind LUTs go through the same rows."""
+        netlist = build_cpu()
+        _lockstep(
+            "intAVG",
+            CompiledCircuit(netlist, taint_mode="naive", engine="dense"),
+            CompiledCircuit(netlist, taint_mode="naive", engine="numpy"),
+        )
 
 
 #: Full-analysis results are expensive (seconds per engine); share them
@@ -103,22 +123,24 @@ def _analysis(name, engine):
     return _RESULT_CACHE[key]
 
 
+def _stats(result):
+    """Every stats counter except the wall clock."""
+    stats = dataclasses.asdict(result.stats)
+    stats.pop("wall_seconds")
+    return stats
+
+
 class TestAnalysisEquivalence:
     """Full TaintTracker runs must be indistinguishable per engine."""
 
     @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
     def test_verdict_violations_report(self, name):
-        dense = _analysis(name, "dense")
-        event = _analysis(name, "event")
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert event.stats.paths == dense.stats.paths
-        assert event.stats.forks == dense.stats.forks
-        assert event.stats.merges == dense.stats.merges
-        assert (
-            event.stats.cycles_simulated == dense.stats.cycles_simulated
-        )
-        assert _normalize(event.report()) == _normalize(dense.report())
+        reference = _analysis(name, "numpy")
+        fast = _analysis(name, "dense")
+        assert fast.verdict == reference.verdict
+        assert list(fast.violations) == list(reference.violations)
+        assert _stats(fast) == _stats(reference)
+        assert _normalize(fast.report()) == _normalize(reference.report())
 
 
 FORKY = """
@@ -143,8 +165,8 @@ def _forky_tracker(engine, **kwargs):
 
 
 class TestCheckpointEquivalence:
-    """Interrupt the event-engine analysis, resume it, and compare the
-    stitched result against an uninterrupted dense baseline."""
+    """Interrupt the native analysis, resume it, and compare the
+    stitched result against an uninterrupted numpy baseline."""
 
     def _interrupt_after(self, tracker, paths):
         original = tracker._explore_path
@@ -160,37 +182,37 @@ class TestCheckpointEquivalence:
         return tracker
 
     def test_resume_matches_dense_baseline(self, tmp_path):
-        dense = _forky_tracker("dense").run()
+        reference = _forky_tracker("numpy").run()
 
-        ckpt = tmp_path / "event.ckpt"
+        ckpt = tmp_path / "native.ckpt"
         interrupted = self._interrupt_after(
-            _forky_tracker("event", checkpointer=Checkpointer(ckpt)),
+            _forky_tracker("dense", checkpointer=Checkpointer(ckpt)),
             paths=1,
         )
         with pytest.raises(AnalysisInterrupted):
             interrupted.run()
         assert ckpt.exists()
 
-        fresh = _forky_tracker("event")
+        fresh = _forky_tracker("dense")
         payload = read_checkpoint(ckpt, fresh.config_digest())
         fresh.restore_checkpoint(payload)
-        event = fresh.run()
+        resumed = fresh.run()
 
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert event.stats.paths == dense.stats.paths
-        assert _normalize(event.report()) == _normalize(dense.report())
+        assert resumed.verdict == reference.verdict
+        assert list(resumed.violations) == list(reference.violations)
+        assert resumed.stats.paths == reference.stats.paths
+        assert _normalize(resumed.report()) == _normalize(reference.report())
 
     def test_table1_resume_matches(self, tmp_path):
         """The same interrupt/resume stitch on a real forking workload."""
         name = "binSearch"
-        dense = _analysis(name, "dense")
+        reference = _analysis(name, "numpy")
 
         ckpt = tmp_path / "table1.ckpt"
         interrupted = self._interrupt_after(
             TaintTracker(
                 _program(name),
-                circuit=compiled_cpu("event"),
+                circuit=compiled_cpu("dense"),
                 checkpointer=Checkpointer(ckpt),
             ),
             paths=2,
@@ -199,15 +221,15 @@ class TestCheckpointEquivalence:
             interrupted.run()
 
         fresh = TaintTracker(
-            _program(name), circuit=compiled_cpu("event")
+            _program(name), circuit=compiled_cpu("dense")
         )
         payload = read_checkpoint(ckpt, fresh.config_digest())
         fresh.restore_checkpoint(payload)
-        event = fresh.run()
+        resumed = fresh.run()
 
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert _normalize(event.report()) == _normalize(dense.report())
+        assert resumed.verdict == reference.verdict
+        assert list(resumed.violations) == list(reference.violations)
+        assert _normalize(resumed.report()) == _normalize(reference.report())
 
 
 class TestParallelEquivalence:
@@ -215,14 +237,16 @@ class TestParallelEquivalence:
 
     def test_jobs2_matches_dense_serial(self):
         name = "tHold"
-        dense = _analysis(name, "dense")
-        event = TaintTracker(
-            _program(name), circuit=compiled_cpu("event"), jobs=2
+        reference = _analysis(name, "numpy")
+        parallel = TaintTracker(
+            _program(name), circuit=compiled_cpu("dense"), jobs=2
         ).run()
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert event.stats.paths == dense.stats.paths
-        assert _normalize(event.report()) == _normalize(dense.report())
+        assert parallel.verdict == reference.verdict
+        assert list(parallel.violations) == list(reference.violations)
+        assert _stats(parallel) == _stats(reference)
+        assert _normalize(parallel.report()) == _normalize(
+            reference.report()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -273,39 +297,45 @@ def _random_word(rng):
     return TWord(rng.randrange(2), 0, rng.randrange(2), 1)
 
 
+def _drive_lockstep(fast, reference, rng, cycles, inputs=5):
+    """Random inputs into both circuits; codes compared after every
+    settle and every clock edge."""
+    fstate, rstate = fast.new_state(), reference.new_state()
+    for cycle in range(cycles):
+        rst = TWord.const(1 if cycle == 0 else 0, 1)
+        fast.set_input(fstate, "rst", rst)
+        reference.set_input(rstate, "rst", rst)
+        # Change a random subset of inputs (sometimes none).
+        for index in range(inputs):
+            if rng.random() < 0.6:
+                word = _random_word(rng)
+                fast.set_input(fstate, f"in{index}", word)
+                reference.set_input(rstate, f"in{index}", word)
+        fast.eval_combinational(fstate)
+        reference.eval_combinational(rstate)
+        assert np.array_equal(fstate.codes, rstate.codes), (
+            f"diverged after eval, cycle {cycle}"
+        )
+        fast.clock_edge(fstate)
+        reference.clock_edge(rstate)
+        fast.eval_combinational(fstate)
+        reference.eval_combinational(rstate)
+        assert np.array_equal(fstate.codes, rstate.codes), (
+            f"diverged after clock edge, cycle {cycle}"
+        )
+    return fstate, rstate
+
+
 class TestRandomNetlists:
     @pytest.mark.parametrize("seed", range(8))
     def test_lockstep_on_random_dag(self, seed):
         netlist = random_netlist(seed)
-        dense = CompiledCircuit(netlist, engine="dense")
-        event = CompiledCircuit(netlist, engine="event")
-        dstate = dense.new_state()
-        estate = event.new_state()
-        rng = random.Random(1000 + seed)
-        inputs = [f"in{i}" for i in range(5)]
-        for cycle in range(40):
-            rst = TWord.const(1 if cycle == 0 else 0, 1)
-            for circuit, state in ((dense, dstate), (event, estate)):
-                circuit.set_input(state, "rst", rst)
-            # Change a random subset of inputs (sometimes none: the
-            # quiescent pass must also match).
-            for name in inputs:
-                if rng.random() < 0.6:
-                    word = _random_word(rng)
-                    dense.set_input(dstate, name, word)
-                    event.set_input(estate, name, word)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            assert np.array_equal(dstate.codes, estate.codes), (
-                f"seed {seed}: diverged after eval, cycle {cycle}"
-            )
-            dense.clock_edge(dstate)
-            event.clock_edge(estate)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            assert np.array_equal(dstate.codes, estate.codes), (
-                f"seed {seed}: diverged after clock edge, cycle {cycle}"
-            )
+        _drive_lockstep(
+            CompiledCircuit(netlist, engine="dense"),
+            CompiledCircuit(netlist, engine="numpy"),
+            random.Random(1000 + seed),
+            cycles=40,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,81 +344,56 @@ class TestRandomNetlists:
 class TestPickleRoundTrip:
     def test_derived_caches_do_not_cross_pickle(self):
         netlist = random_netlist(3)
-        circuit = CompiledCircuit(netlist, engine="event")
+        circuit = CompiledCircuit(netlist, engine="dense")
         state = circuit.new_state()
         circuit.set_input(state, "rst", TWord.const(0, 1))
         for i in range(5):
             circuit.set_input(state, f"in{i}", TWord.const(i & 1, 1))
+        circuit.eval_plan(state, circuit.cone_plan(["out"]))
         circuit.eval_combinational(state)
         # The lazy caches exist in the source process...
-        assert getattr(circuit, "_ev_tables", None) is not None
-        circuit.cone_plan(["out"])
+        assert getattr(circuit, "_row_tables", None) is not None
 
         clone = pickle.loads(pickle.dumps(circuit))
-        # ...and must be absent after the round trip: their keys embed
-        # object ids from the source process.
+        # ...and must be absent after the round trip: they hold this
+        # process's object ids and array addresses.
         for name in CompiledCircuit._DERIVED_CACHES:
             assert getattr(clone, name, None) is None, name
         assert clone._plan_totals == {}
         assert clone._counter_cache == {}
-        assert clone.engine == "event"
+        assert clone.engine == "dense"
 
     def test_pickled_circuit_still_bit_identical(self):
         netlist = random_netlist(4)
-        dense = CompiledCircuit(netlist, engine="dense")
-        event = pickle.loads(
-            pickle.dumps(CompiledCircuit(netlist, engine="event"))
+        warm = CompiledCircuit(netlist, engine="dense")
+        warm.eval_combinational(warm.new_state())  # build row tables
+        _drive_lockstep(
+            pickle.loads(pickle.dumps(warm)),
+            CompiledCircuit(netlist, engine="numpy"),
+            random.Random(99),
+            cycles=20,
         )
-        dstate = dense.new_state()
-        estate = event.new_state()
-        rng = random.Random(99)
-        for cycle in range(20):
-            dense.set_input(dstate, "rst", TWord.const(0, 1))
-            event.set_input(estate, "rst", TWord.const(0, 1))
-            for i in range(5):
-                word = _random_word(rng)
-                dense.set_input(dstate, f"in{i}", word)
-                event.set_input(estate, f"in{i}", word)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            dense.clock_edge(dstate)
-            event.clock_edge(estate)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            assert np.array_equal(dstate.codes, estate.codes), (
-                f"pickled circuit diverged at cycle {cycle}"
-            )
 
-    def test_event_state_survives_circuit_state_pickle(self):
-        """CircuitState round-trips with its dirty bookkeeping intact:
-        a resumed state must not silently skip pending work."""
+    def test_circuit_state_survives_pickle(self):
+        """A CircuitState pickled mid-run resumes bit-identically: all
+        of its state is the codes array."""
         netlist = random_netlist(5)
-        event = CompiledCircuit(netlist, engine="event")
-        dense = CompiledCircuit(netlist, engine="dense")
-        estate = event.new_state()
-        dstate = dense.new_state()
+        fast = CompiledCircuit(netlist, engine="dense")
+        reference = CompiledCircuit(netlist, engine="numpy")
         rng = random.Random(7)
-        for circuit, state in ((event, estate), (dense, dstate)):
-            circuit.set_input(state, "rst", TWord.const(0, 1))
-        for i in range(5):
-            word = _random_word(rng)
-            event.set_input(estate, f"in{i}", word)
-            dense.set_input(dstate, f"in{i}", word)
-        event.eval_combinational(estate)
-        dense.eval_combinational(dstate)
+        fstate, rstate = _drive_lockstep(fast, reference, rng, cycles=3)
 
-        resumed = pickle.loads(pickle.dumps(estate))
-        # Continue both; the resumed event state must keep matching.
+        resumed = pickle.loads(pickle.dumps(fstate))
         for cycle in range(10):
             word = _random_word(rng)
-            event.set_input(resumed, "in0", word)
-            dense.set_input(dstate, "in0", word)
-            event.eval_combinational(resumed)
-            dense.eval_combinational(dstate)
-            event.clock_edge(resumed)
-            dense.clock_edge(dstate)
-            event.eval_combinational(resumed)
-            dense.eval_combinational(dstate)
-            assert np.array_equal(resumed.codes, dstate.codes), (
+            fast.set_input(resumed, "in0", word)
+            reference.set_input(rstate, "in0", word)
+            fast.eval_combinational(resumed)
+            reference.eval_combinational(rstate)
+            fast.clock_edge(resumed)
+            reference.clock_edge(rstate)
+            fast.eval_combinational(resumed)
+            reference.eval_combinational(rstate)
+            assert np.array_equal(resumed.codes, rstate.codes), (
                 f"resumed state diverged at cycle {cycle}"
             )

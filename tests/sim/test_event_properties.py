@@ -1,16 +1,11 @@
-"""Property tests for the event engine's dirty-set bookkeeping.
+"""Property tests: the native kernel is bit-identical to the numpy loop.
 
-Two properties pin the engine's core invariants on random DAG
-netlists:
-
-* **Propagation closure** -- perturbing any single input net of a
-  settled event state and re-settling must reach exactly the state a
-  full dense pass computes from the same inputs.  If the dirty-set
-  sweep ever under-marks fanout, this catches it at the first netlist
-  where the missed gate matters.
-* **Quiescence soundness** -- re-evaluating a settled state with no
-  input change must evaluate *zero* gates (not merely produce the same
-  codes): the engine's claimed speedup is exactly this property.
+On Hypothesis-drawn random DAG netlists (every cell type, constants
+included) and arbitrary starting codes on *every* net -- not only
+settled states -- one native pass must leave exactly the codes array
+one numpy pass leaves, for the full evaluation order and for a cone
+plan.  A third property re-settles a settled state after perturbing
+one input, the access pattern of the SoC's cycle loop.
 """
 
 import random
@@ -19,36 +14,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.logic.glift import GATE_FUNCTIONS
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
+from repro.netlist.cells import CELL_LIBRARY
 from repro.sim.compiled import CompiledCircuit
 
 NUM_INPUTS = 5
+CELLS = sorted(GATE_FUNCTIONS)
 
 
 def build_random_dag(seed, num_gates):
-    """A seeded random combinational DAG (no registers: the properties
-    quantify over single-pass settling)."""
+    """A seeded random combinational DAG over every combinational cell
+    type of the library (arities 1 to 4)."""
     rng = random.Random(seed)
     b = CircuitBuilder(f"prop{seed}")
     pool = [b.input(f"in{i}", 1)[0] for i in range(NUM_INPUTS)]
     pool += [b.bit0(), b.bit1()]
     for _ in range(num_gates):
-        op = rng.choice(("not", "and", "or", "xor", "mux", "nand"))
-        a, c, d = (rng.choice(pool) for _ in range(3))
-        if op == "not":
-            out = b.not_bit(a)
-        elif op == "and":
-            out = b.and_bit(a, c)
-        elif op == "or":
-            out = b.or_bit(a, c)
-        elif op == "xor":
-            out = b.xor_bit(a, c)
-        elif op == "nand":
-            out = b.nand_bit(a, c)
-        else:
-            out = b.mux_bit(a, c, d)
-        pool.append(out)
+        cell = rng.choice(CELLS)
+        inputs = [rng.choice(pool) for _ in range(CELL_LIBRARY[cell].arity)]
+        pool.append(b._emit(cell, inputs))
     b.output("out", Sig(pool[-4:]))
     return b.build()
 
@@ -61,11 +47,49 @@ def code_word(code):
     return TWord(value, 0, taint, 1)
 
 
+def _pair(netlist, codes=None):
+    """(native circuit, its state, numpy circuit, its state)."""
+    fast = CompiledCircuit(netlist, engine="dense")
+    reference = CompiledCircuit(netlist, engine="numpy")
+    fstate, rstate = fast.new_state(), reference.new_state()
+    if codes is not None:
+        fstate.codes[:] = codes
+        rstate.codes[:] = codes
+    return fast, fstate, reference, rstate
+
+
+netlists = st.builds(
+    build_random_dag, st.integers(0, 200), st.integers(5, 80)
+)
 input_codes = st.lists(
     st.sampled_from([0, 1, 2, 3, 4, 5]),
     min_size=NUM_INPUTS,
     max_size=NUM_INPUTS,
 )
+
+
+class TestBitIdentity:
+    @given(netlist=netlists, codes_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_full_pass_matches_numpy(self, netlist, codes_seed):
+        codes = np.random.default_rng(codes_seed).integers(
+            0, 6, netlist.num_nets, dtype=np.uint8
+        )
+        fast, fstate, reference, rstate = _pair(netlist, codes)
+        fast.eval_combinational(fstate)
+        reference.eval_combinational(rstate)
+        assert np.array_equal(fstate.codes, rstate.codes)
+
+    @given(netlist=netlists, codes_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_cone_plan_matches_numpy(self, netlist, codes_seed):
+        codes = np.random.default_rng(codes_seed).integers(
+            0, 6, netlist.num_nets, dtype=np.uint8
+        )
+        fast, fstate, reference, rstate = _pair(netlist, codes)
+        fast.eval_plan(fstate, fast.cone_plan(["out"]))
+        reference.eval_plan(rstate, reference.cone_plan(["out"]))
+        assert np.array_equal(fstate.codes, rstate.codes)
 
 
 class TestPropagationClosure:
@@ -80,70 +104,21 @@ class TestPropagationClosure:
     def test_single_input_perturbation_reaches_dense_fixpoint(
         self, seed, num_gates, initial, which, new_code
     ):
+        """Settle natively, perturb one input, re-settle natively: the
+        result is the fixpoint a fresh numpy pass computes."""
         netlist = build_random_dag(seed, num_gates)
-        event = CompiledCircuit(netlist, engine="event")
-        estate = event.new_state()
+        fast, fstate, reference, rstate = _pair(netlist)
         for i, code in enumerate(initial):
-            event.set_input(estate, f"in{i}", code_word(code))
-        event.eval_combinational(estate)
+            fast.set_input(fstate, f"in{i}", code_word(code))
+        fast.eval_combinational(fstate)
 
-        # Perturb exactly one input net, re-settle the event state.
-        event.set_input(estate, f"in{which}", code_word(new_code))
-        event.eval_combinational(estate)
+        fast.set_input(fstate, f"in{which}", code_word(new_code))
+        fast.eval_combinational(fstate)
 
-        # Reference: a dense pass over the same final inputs.
-        dense = CompiledCircuit(netlist, engine="dense")
-        dstate = dense.new_state()
         final = list(initial)
         final[which] = new_code
         for i, code in enumerate(final):
-            dense.set_input(dstate, f"in{i}", code_word(code))
-        dense.eval_combinational(dstate)
+            reference.set_input(rstate, f"in{i}", code_word(code))
+        reference.eval_combinational(rstate)
 
-        assert np.array_equal(estate.codes, dstate.codes)
-
-
-class TestQuiescenceSoundness:
-    @given(
-        seed=st.integers(0, 200),
-        num_gates=st.integers(5, 80),
-        initial=input_codes,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_noop_write_evaluates_zero_gates(
-        self, seed, num_gates, initial
-    ):
-        netlist = build_random_dag(seed, num_gates)
-        event = CompiledCircuit(netlist, engine="event")
-        state = event.new_state()
-        for i, code in enumerate(initial):
-            event.set_input(state, f"in{i}", code_word(code))
-        event.eval_combinational(state)
-
-        # Rewrite the same values -- a no-op -- and re-evaluate.
-        before = state.codes.copy()
-        for i, code in enumerate(initial):
-            event.set_input(state, f"in{i}", code_word(code))
-        event.eval_combinational(state)
-
-        assert state.ev.last_evals == 0
-        assert state.ev.last_groups == 0
-        assert np.array_equal(state.codes, before)
-
-    @given(
-        seed=st.integers(0, 200),
-        num_gates=st.integers(5, 80),
-        initial=input_codes,
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_settled_state_stays_settled(self, seed, num_gates, initial):
-        """No writes at all: repeated evaluation stays at zero work."""
-        netlist = build_random_dag(seed, num_gates)
-        event = CompiledCircuit(netlist, engine="event")
-        state = event.new_state()
-        for i, code in enumerate(initial):
-            event.set_input(state, f"in{i}", code_word(code))
-        event.eval_combinational(state)
-        for _ in range(3):
-            event.eval_combinational(state)
-            assert state.ev.last_evals == 0
+        assert np.array_equal(fstate.codes, rstate.codes)
