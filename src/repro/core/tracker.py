@@ -398,6 +398,8 @@ class TaintTracker:
         #: classic serial mode); see :mod:`repro.parallel`
         self.jobs = max(1, int(jobs))
         self._visit_counts: Dict[object, int] = {}
+        #: shadow decodes by address (see _decode_at)
+        self._decoded: Dict[int, Optional[DecodedInstruction]] = {}
 
         self.runner = build_runner(program, self.policy, self.circuit)
 
@@ -524,15 +526,22 @@ class TaintTracker:
     # Shadow decode
     # ------------------------------------------------------------------
     def _decode_at(self, address: int) -> Optional[DecodedInstruction]:
+        """The instruction at *address*, decoded once per address (the
+        ROM is immutable and decoded instructions are frozen)."""
         injector = get_injector()
         if injector is not None and injector.on_decode(
             address, self.runner.soc.cycle
         ):
             return None  # injected decode failure: path ends "illegal"
-        try:
-            return decode(self.program.slice_from(address), address)
-        except EncodeError:
-            return None
+        decoded = self._decoded
+        if address not in decoded:
+            try:
+                decoded[address] = decode(
+                    self.program.slice_from(address), address
+                )
+            except EncodeError:
+                decoded[address] = None
+        return decoded[address]
 
     def _task_info(self, address: int) -> Tuple[str, bool]:
         task = self.program.task_of(address)

@@ -75,7 +75,7 @@ class TWord:
     __slots__ = ("bits", "xmask", "tmask", "width")
 
     def __init__(self, bits: int, xmask: int = 0, tmask: int = 0, width: int = 16):
-        mask = _mask(width)
+        mask = (1 << width) - 1  # _mask(width), inlined: hot constructor
         xmask &= mask
         self.width = width
         self.xmask = xmask

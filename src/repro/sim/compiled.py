@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,15 +156,37 @@ def _eval_levels(
 
 
 class CircuitState:
-    """Per-net codes for one simulation state (mutable, cheap to copy)."""
+    """Per-net codes for one simulation state (mutable, cheap to copy).
 
-    __slots__ = ("codes",)
+    The native kernel needs the codes array's data pointer on every
+    pass, and ``ndarray.ctypes.data`` costs about as much as the pass's
+    other Python glue, so :meth:`_data_address` caches it beside the
+    array it belongs to.  The pointer is this process's: a copy or an
+    unpickled state starts without it.
+    """
+
+    __slots__ = ("codes", "_address")
 
     def __init__(self, codes: np.ndarray):
         self.codes = codes
+        self._address = None
 
     def copy(self) -> "CircuitState":
         return CircuitState(self.codes.copy())
+
+    def _data_address(self) -> int:
+        """The data pointer of :attr:`codes` (cached per array object)."""
+        cached = self._address
+        if cached is None or cached[0] is not self.codes:
+            cached = self._address = (self.codes, self.codes.ctypes.data)
+        return cached[1]
+
+    def __getstate__(self) -> dict:
+        return {"codes": self.codes}
+
+    def __setstate__(self, state: dict) -> None:
+        self.codes = state["codes"]
+        self._address = None
 
 
 class CompiledCircuit:
@@ -270,7 +292,9 @@ class CompiledCircuit:
     #: every new id-keyed or lazily built cache added to this class
     #: belongs in this tuple; ``tests/sim/test_engine_equivalence.py``
     #: pins the round-trip.
-    _DERIVED_CACHES = ("_prod_tables", "_row_tables", "_cone_plans")
+    _DERIVED_CACHES = (
+        "_prod_tables", "_row_tables", "_cone_plans", "_port_passes",
+    )
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -408,25 +432,44 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def eval_combinational(self, state: CircuitState) -> None:
-        """Propagate codes through all combinational logic (one pass)."""
-        self._evaluate(state, self._levels, "full")
+    def eval_combinational(
+        self,
+        state: CircuitState,
+        inputs: Optional[Mapping[str, TWord]] = None,
+        outputs: Sequence[str] = (),
+    ) -> Tuple[TWord, ...]:
+        """Propagate codes through all combinational logic (one pass).
+
+        *inputs* (port name -> word) are written before the pass and
+        the *outputs* ports are read after it; their words are returned
+        in order.  On the native kernel all three are one call.
+        """
+        words = self._evaluate(state, self._levels, "full", inputs, outputs)
         obs = get_observer()
         if obs.enabled:
             self._count_gate_evals(obs, self._gates_by_type,
                                    self._total_gates)
+        return words
 
     def _evaluate(
-        self, state: CircuitState, levels: List[List[_Group]], kind: str
-    ) -> None:
+        self,
+        state: CircuitState,
+        levels: List[List[_Group]],
+        kind: str,
+        inputs: Optional[Mapping[str, TWord]] = None,
+        outputs: Sequence[str] = (),
+    ) -> Tuple[TWord, ...]:
         """One pass over *levels*: the full order or a cone plan.
 
-        The ``dense`` engine runs the native kernel.  The numpy loop
-        runs instead under ``engine="numpy"`` (the oracle), when the
-        kernel cannot be built here, and in the paid diagnostic modes
-        (a provenance or perf-attribution recorder armed).  Both
-        backends reject a malformed codes array, and an out-of-range
-        code, with the same :class:`MalformedCodesError`.
+        The ``dense`` engine runs the native kernel, which also
+        scatters *inputs* and gathers *outputs* (see :meth:`_port_pass`).
+        The numpy loop runs instead under ``engine="numpy"`` (the
+        oracle), when the kernel cannot be built here, and in the paid
+        diagnostic modes (a provenance or perf-attribution recorder
+        armed); it brackets the pass with :meth:`set_input` and
+        :meth:`read_output`.  Both backends reject a malformed codes
+        array, and an out-of-range code, with the same
+        :class:`MalformedCodesError`.
         """
         codes = state.codes
         flags = codes.flags
@@ -443,14 +486,25 @@ class CompiledCircuit:
                 dtype=str(codes.dtype),
                 shape=list(codes.shape),
             )
-        rows = self._rows(levels)
         recorder = get_recorder()
         perf = get_perf() if recorder is None else None
+        kernel = None
         if recorder is None and perf is None and self.engine == "dense":
             kernel = native.kernel()
-            if kernel is not None:
-                rows.run(kernel, codes)
-                return
+        if kernel is not None and (inputs or outputs):
+            inputs = inputs or {}
+            ports = self._port_pass(levels, inputs, outputs)
+            if ports is not None:
+                return ports.run(
+                    kernel, codes, state._data_address(), inputs.values()
+                )
+        if inputs:
+            for name, word in inputs.items():
+                self.set_input(state, name, word)
+        rows = self._rows(levels)
+        if kernel is not None:
+            rows.run(kernel, codes, state._data_address())
+            return tuple(self.read_output(state, name) for name in outputs)
         rows.check(codes)
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
@@ -466,6 +520,7 @@ class CompiledCircuit:
                 perf.sample(codes)
         else:
             _eval_levels(codes, levels)
+        return tuple(self.read_output(state, name) for name in outputs)
 
     def _rows(self, levels: List[List[_Group]]) -> native.GateRows:
         """Kernel rows for *levels* (built on first use, then memoised)."""
@@ -475,6 +530,40 @@ class CompiledCircuit:
                 self._const_nets_arr, self._const_codes_arr, self._levels
             )
         return tables.rows_for(levels)
+
+    def _port_pass(
+        self,
+        levels: List[List[_Group]],
+        inputs: Mapping[str, TWord],
+        outputs: Sequence[str],
+    ) -> Optional[native.PortPass]:
+        """The kernel's port table for one (evaluation order, input
+        names, output names) triple, built on first use and memoised
+        like :meth:`cone_plan`; None when a port is too wide for the
+        kernel's 64-bit words (the pass then brackets the kernel with
+        the Python packers).
+        """
+        passes = getattr(self, "_port_passes", None)
+        if passes is None:
+            passes = self._port_passes = {}
+        key = (id(levels), tuple(inputs), tuple(outputs))
+        entry = passes.get(key)
+        if entry is None or entry[0] is not levels:
+            in_nets = [(name, self._input_arrays[name]) for name in inputs]
+            out_nets = [
+                (name, self._output_arrays[name]) for name in outputs
+            ]
+            fits = all(
+                len(nets) <= native.MAX_PORT_WIDTH
+                for _, nets in in_nets + out_nets
+            )
+            table = (
+                native.PortPass(self._rows(levels), in_nets, out_nets)
+                if fits else None
+            )
+            # The entry pins *levels* so its id cannot be recycled.
+            entry = passes[key] = (levels, table)
+        return entry[1]
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
@@ -641,14 +730,20 @@ class CompiledCircuit:
         return plan
 
     def eval_plan(
-        self, state: CircuitState, plan: List[List[_Group]]
-    ) -> None:
-        """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
-        self._evaluate(state, plan, "interface")
+        self,
+        state: CircuitState,
+        plan: List[List[_Group]],
+        inputs: Optional[Mapping[str, TWord]] = None,
+        outputs: Sequence[str] = (),
+    ) -> Tuple[TWord, ...]:
+        """Evaluate a pre-grouped cone (see :meth:`cone_plan`), with
+        *inputs* and *outputs* as in :meth:`eval_combinational`."""
+        words = self._evaluate(state, plan, "interface", inputs, outputs)
         obs = get_observer()
         if obs.enabled:
             by_type, total = self._totals_of_plan(plan)
             self._count_gate_evals(obs, by_type, total)
+        return words
 
     def clock_edge(self, state: CircuitState) -> None:
         """Latch every flip-flop: ``Q <= D``."""

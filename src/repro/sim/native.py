@@ -15,6 +15,20 @@ base 6, reads ``luts[offset + index]`` and writes the output net; it
 stops at, and returns, the first row reading a code above 5 (a
 malformed state), so a bad code can never index past its LUT.
 
+The one C entry point is::
+
+    repro_pass(rows, count, luts, codes, io, n_in, n_out, words)
+
+It moves a pass's port traffic too, in three steps: scatter ``n_in``
+input ports from ``words``, run the rows, gather ``n_out`` output ports
+into ``words``.  ``io`` (a :class:`PortPass` table) holds ``width, net
+ids...`` per input port, then per output port; ``words`` holds one
+uint64 ``(bits, xmask, tmask)`` triple per port in the same order, and
+a net's code is ``value * 2 + taint`` with value 2 for X.  A plain pass
+is the same call with no ports (``io`` and ``words`` NULL).  The SoC
+thus makes one kernel call per pass, two per cycle, instead of packing
+each port word bit by bit in Python around the call.
+
 The C source is compiled once by the system compiler into a per-user
 cache (``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, else a private
 temporary directory) under a name keyed by the source, flags and
@@ -36,10 +50,11 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.logic.words import TWord
 from repro.resilience.errors import MalformedCodesError
 
 #: Compilers tried, in order, when the cached library is missing.
@@ -55,10 +70,25 @@ MAX_CODE = 5
 SOURCE = r"""
 #include <stdint.h>
 
-/* Unrolled per arity: about twice as fast as a loop over rows[1]. */
-int64_t repro_eval_rows(const int32_t *rows, int64_t count,
-                        const uint8_t *luts, uint8_t *codes)
+/* One SoC pass: scatter n_in input ports, run the rows, gather n_out
+ * output ports.  io holds [width, net ids...] per input port, then per
+ * output port; words holds one (bits, xmask, tmask) triple per port in
+ * the same order.  Returns the first row reading a code above 5 (the
+ * gather is then skipped), else -1. */
+int64_t repro_pass(const int32_t *rows, int64_t count,
+                   const uint8_t *luts, uint8_t *codes,
+                   const int32_t *io, int64_t n_in, int64_t n_out,
+                   uint64_t *words)
 {
+    for (int64_t p = 0; p < n_in; ++p, words += 3) {
+        int32_t width = *io++;
+        for (int32_t i = 0; i < width; ++i) {
+            uint32_t value = (words[1] >> i) & 1 ? 2 : (words[0] >> i) & 1;
+            codes[io[i]] = (uint8_t)(value * 2 + ((words[2] >> i) & 1));
+        }
+        io += width;
+    }
+    /* Unrolled per arity: about twice as fast as a loop over rows[1]. */
     for (int64_t r = 0; r < count; ++r, rows += 7) {
         uint32_t a, b, c, d, index;
         switch (rows[1]) {
@@ -97,6 +127,24 @@ int64_t repro_eval_rows(const int32_t *rows, int64_t count,
             break;
         }
         codes[rows[6]] = luts[rows[0] + index];
+    }
+    for (int64_t p = 0; p < n_out; ++p, words += 3) {
+        int32_t width = *io++;
+        uint64_t bits = 0, xmask = 0, tmask = 0;
+        for (int32_t i = 0; i < width; ++i) {
+            uint32_t code = codes[io[i]];
+            uint64_t probe = (uint64_t)1 << i;
+            if ((code >> 1) == 2)
+                xmask |= probe;
+            else if (code >> 1)
+                bits |= probe;
+            if (code & 1)
+                tmask |= probe;
+        }
+        words[0] = bits;
+        words[1] = xmask;
+        words[2] = tmask;
+        io += width;
     }
     return -1;
 }
@@ -173,11 +221,12 @@ def _load():
         library = ctypes.CDLL(str(path))
     except OSError as error:
         raise _Unavailable(f"cannot load {path}: {error}") from error
-    fn = library.repro_eval_rows
+    fn = library.repro_pass
     # Pointers must be declared c_void_p: undeclared, ctypes passes
     # Python ints as C int and truncates 64-bit addresses.
     fn.argtypes = (
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
     )
     fn.restype = ctypes.c_int64
     return fn
@@ -224,7 +273,7 @@ class GateRows:
     """One evaluation order flattened to kernel rows.
 
     Holds the row and LUT arrays and their cached addresses, so a pass
-    costs one ctypes call plus the codes array's address lookup.
+    costs one ctypes call.
     """
 
     __slots__ = ("rows", "luts", "count", "_rows_ptr", "_luts_ptr")
@@ -236,10 +285,11 @@ class GateRows:
         self._rows_ptr = rows.ctypes.data
         self._luts_ptr = luts.ctypes.data
 
-    def run(self, fn, codes: np.ndarray) -> None:
-        """Evaluate every row over *codes* (validated by the caller)."""
-        bad = fn(self._rows_ptr, self.count, self._luts_ptr,
-                 codes.ctypes.data)
+    def run(self, fn, codes: np.ndarray, address: int) -> None:
+        """Evaluate every row over *codes* (validated by the caller),
+        whose data pointer is *address*."""
+        bad = fn(self._rows_ptr, self.count, self._luts_ptr, address,
+                 None, 0, 0, None)
         if bad >= 0:
             raise self.malformed(bad, codes)
 
@@ -330,3 +380,74 @@ class RowTables:
                         self.luts)
         self._memo[id(levels)] = (levels, rows)
         return rows
+
+
+# ---------------------------------------------------------------------------
+# Port tables
+# ---------------------------------------------------------------------------
+#: The widest port one ``(bits, xmask, tmask)`` uint64 triple holds.
+MAX_PORT_WIDTH = 64
+
+
+class PortPass:
+    """One evaluation order plus the ports a fused pass moves.
+
+    ``io`` is the kernel's int32 port table -- ``width, net ids...``
+    per input port, then per output port.  Each :meth:`run` fills a
+    fresh buffer of one ``(bits, xmask, tmask)`` uint64 triple per port
+    in the same order with the input words, the kernel scatters them,
+    runs the rows and gathers the output triples, and :meth:`run` reads
+    those back as words.  The buffer is per call (0.2 us) because the
+    kernel runs without the GIL: threads sharing a circuit must not
+    share port words.
+    """
+
+    __slots__ = ("rows", "names", "widths", "n_in", "n_out", "io",
+                 "_io_ptr", "_words_type", "_gather")
+
+    def __init__(self, rows: GateRows,
+                 inputs: Sequence[Tuple[str, np.ndarray]],
+                 outputs: Sequence[Tuple[str, np.ndarray]]):
+        ports = [*inputs, *outputs]
+        self.rows = rows
+        self.names = tuple(name for name, _ in ports)
+        self.widths = tuple(len(nets) for _, nets in ports)
+        self.n_in = len(inputs)
+        self.n_out = len(outputs)
+        table: List[int] = []
+        for _, nets in ports:
+            table.append(len(nets))
+            table.extend(int(net) for net in nets)
+        self.io = np.array(table, dtype=np.int32)
+        self._io_ptr = self.io.ctypes.data
+        self._words_type = ctypes.c_uint64 * (3 * len(ports))
+        #: (offset into the output triples, width) per output port
+        self._gather = tuple(
+            (3 * index, len(nets)) for index, (_, nets) in enumerate(outputs)
+        )
+
+    def run(self, fn, codes: np.ndarray, address: int,
+            inputs: Iterable[TWord]) -> Tuple[TWord, ...]:
+        """Scatter *inputs* (in table order), evaluate, gather outputs."""
+        words = self._words_type()
+        slot = 0
+        for word, width in zip(inputs, self.widths):
+            if word.width != width:
+                raise ValueError(
+                    f"port {self.names[slot // 3]} is {width} bits, "
+                    f"got {word.width}"
+                )
+            words[slot] = word.bits
+            words[slot + 1] = word.xmask
+            words[slot + 2] = word.tmask
+            slot += 3
+        rows = self.rows
+        bad = fn(rows._rows_ptr, rows.count, rows._luts_ptr, address,
+                 self._io_ptr, self.n_in, self.n_out, words)
+        if bad >= 0:
+            raise rows.malformed(bad, codes)
+        out = words[3 * self.n_in:]
+        return tuple([
+            TWord(out[at], out[at + 1], out[at + 2], width)
+            for at, width in self._gather
+        ])

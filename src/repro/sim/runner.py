@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.isa.encode import EncodeError, decode
 from repro.isa.program import Program
-from repro.logic.ternary import ONE, UNKNOWN, ZERO
+from repro.logic.ternary import ONE
 from repro.logic.words import TWord
 from repro.obs import get_observer
 from repro.obs.provenance import get_recorder
@@ -24,6 +24,9 @@ PHASE_F, PHASE_SE, PHASE_SL, PHASE_DE, PHASE_DL, PHASE_E, PHASE_J = range(7)
 
 #: Symbolic names of the FSM phases, indexed by the values above.
 PHASE_NAMES = ("F", "SE", "SL", "DE", "DL", "E", "J")
+
+#: dbg_phase bits 1-6: the registered phases (F is derived from them).
+_REGISTERED_PHASES = 0x7E
 
 InputSpec = Union[
     Callable[[str], int], Mapping[str, Union[int, Callable[[], int]]]
@@ -128,14 +131,11 @@ class GateRunner:
         phase bits are fresh; F is the all-zero case.
         """
         word = self.soc.read_debug("dbg_phase")
-        unknown = False
-        for bit in range(1, 7):
-            value, _ = word.bit(bit)
-            if value == ONE:
-                return bit
-            if value != ZERO:
-                unknown = True
-        if unknown:
+        # The lowest ONE among bits 1-6 wins, even over a lower X bit.
+        ones = word.bits & _REGISTERED_PHASES
+        if ones:
+            return (ones & -ones).bit_length() - 1
+        if word.xmask & _REGISTERED_PHASES:
             return -1  # the FSM itself has unknown state bits
         return PHASE_F
 

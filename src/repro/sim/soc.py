@@ -29,7 +29,10 @@ The memory-facing outputs must not combinationally depend on the same
 cycle's ``*_rdata`` inputs (the LP430 datapath guarantees this by sourcing
 them from registers), which lets the SoC evaluate each cycle with exactly
 two combinational passes: one to observe the addresses/strobes, one after
-read data is applied.
+read data is applied.  Each pass writes its input ports and reads its
+output ports in the same call (:meth:`CompiledCircuit.eval_plan` /
+:meth:`~CompiledCircuit.eval_combinational` with ``inputs=`` and
+``outputs=``), which the native kernel does in one C call.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ from repro.sim.compiled import CircuitState, CompiledCircuit
 from repro.sim.memory import TaintedMemory
 from repro.sim.peripherals import AuxTimer, InputPort, OutputPort, PortEvent
 from repro.sim.watchdog import Watchdog
+
+
+#: Outputs pass 1 gathers: the fetch address and the load request.
+INTERFACE_PORTS = ("pmem_addr", "dmem_addr", "dmem_ren")
+#: Outputs pass 2 gathers: the store request.
+STORE_PORTS = ("dmem_wen", "dmem_wdata", "dmem_addr")
+#: ``dmem_rdata`` on a cycle without a load.
+_NO_READ = TWord.unknown(16)
 
 
 class Rom:
@@ -326,9 +337,7 @@ class SoC:
         self.pending_por: Tuple[int, int] = (ZERO, 0)
         self.cycle = 0
         # Pass 1 only needs the (register-sourced) memory interface.
-        self._interface_plan = circuit.cone_plan(
-            ["pmem_addr", "dmem_addr", "dmem_ren"]
-        )
+        self._interface_plan = circuit.cone_plan(INTERFACE_PORTS)
 
     # ------------------------------------------------------------------
     # Observation helpers
@@ -389,18 +398,19 @@ class SoC:
         reset = (reset_value, por_taint | ext_taint)
         if reset[0] == ONE:
             self.space.watchdog.power_on_reset(reset[1])
-        circuit.set_input(state, "rst", TWord(
+        rst = TWord(
             1 if reset[0] == ONE else 0,
             1 if reset[0] == UNKNOWN else 0,
             reset[1],
             1,
-        ))
+        )
 
         # Pass 1: addresses and strobes become valid (register-sourced).
-        circuit.eval_plan(state, self._interface_plan)
-        pmem_addr = circuit.read_output(state, "pmem_addr")
+        pmem_addr, dmem_addr, ren_word = circuit.eval_plan(
+            state, self._interface_plan, inputs={"rst": rst},
+            outputs=INTERFACE_PORTS,
+        )
         instruction = self.rom.read(pmem_addr)
-        circuit.set_input(state, "pmem_rdata", instruction)
         if recorder is not None and instruction.tmask:
             # Tainted instruction bits were introduced at the fetch
             # interface: label them with their program-memory origin.
@@ -418,28 +428,25 @@ class SoC:
         # interface, so the SoC suppresses data-memory side effects.
         in_reset = reset[0] == ONE
 
-        dmem_addr = circuit.read_output(state, "dmem_addr")
-        ren_word = circuit.read_output(state, "dmem_ren")
         ren = ren_word.bit(0)
         read_event: Optional[MemRead] = None
         if not in_reset and ren[0] != ZERO:
             data = self.space.read(dmem_addr, ren)
             read_event = MemRead(dmem_addr, data, ren)
-            circuit.set_input(state, "dmem_rdata", data)
             if recorder is not None and data.tmask:
                 self._record_read_provenance(recorder, dmem_addr, data)
         else:
-            circuit.set_input(state, "dmem_rdata", TWord.unknown(16))
+            data = _NO_READ
 
         # Pass 2: read data propagates to every register's D input.
-        circuit.eval_combinational(state)
+        wen_word, wdata, waddr = circuit.eval_combinational(
+            state, inputs={"pmem_rdata": instruction, "dmem_rdata": data},
+            outputs=STORE_PORTS,
+        )
 
-        wen_word = circuit.read_output(state, "dmem_wen")
         wen = wen_word.bit(0)
         write_event: Optional[MemWrite] = None
         if not in_reset and wen[0] != ZERO:
-            wdata = circuit.read_output(state, "dmem_wdata")
-            waddr = circuit.read_output(state, "dmem_addr")
             ram_match = self.space.write(waddr, wdata, wen)
             write_event = MemWrite(waddr, wdata, wen, ram_match)
             if recorder is not None and (wdata.tmask or waddr.tmask):

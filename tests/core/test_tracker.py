@@ -291,3 +291,63 @@ app_skip:
         root = tree.root
         assert root is not None and root.children
         assert "node 0" in tree.render()
+
+
+class _CountingInjector:
+    """Consulted on every shadow decode; fails only the *fail_at*-th."""
+
+    def __init__(self, fail_at=None):
+        self.decodes = 0
+        self.fail_at = fail_at
+
+    def on_decode(self, address, cycle):
+        self.decodes += 1
+        return self.decodes == self.fail_at
+
+    def on_step(self, soc):
+        pass
+
+    def on_snapshot(self, snapshot):
+        return snapshot
+
+
+class TestShadowDecode:
+    def _mult(self):
+        from repro.workloads.registry import BENCHMARKS
+
+        return assemble(BENCHMARKS["mult"].service_source, name="mult")
+
+    def test_decodes_each_fetch_address_once(self, monkeypatch):
+        import repro.core.tracker as tracker_module
+
+        addresses = []
+        original = tracker_module.decode
+
+        def counting(words, address):
+            addresses.append(address)
+            return original(words, address)
+
+        monkeypatch.setattr(tracker_module, "decode", counting)
+        result = TaintTracker(self._mult()).run()
+        assert len(addresses) == len(set(addresses))
+        # mult loops: far more fetches than distinct addresses.
+        assert result.stats.instructions > 4 * len(addresses)
+
+    def test_injector_is_consulted_before_the_memo(self):
+        from repro.resilience import install_injector
+
+        program = self._mult()
+        counting = _CountingInjector()
+        install_injector(counting)
+        try:
+            clean = TaintTracker(program).run()
+            # Fail a decode late in the run, when every address of the
+            # loop is already memoised.
+            failing = _CountingInjector(fail_at=counting.decodes - 5)
+            install_injector(failing)
+            faulted = TaintTracker(program).run()
+        finally:
+            install_injector(None)
+        assert counting.decodes == clean.stats.instructions
+        assert failing.decodes == failing.fail_at
+        assert faulted.stats.instructions < clean.stats.instructions

@@ -6,9 +6,10 @@ codes array after every pass, the same violations, the same report
 text.  These tests enforce that contract at three granularities:
 
 * SoC lockstep: two :class:`GateRunner`\\ s over the same workload,
-  stepped cycle by cycle with the full 3027-net codes array compared
-  after every cycle, for every Table 1 workload and for the naive
-  (ablation) taint tables.
+  stepped cycle by cycle with the full 3027-net codes array and every
+  port word the two fused passes gather compared after every cycle,
+  for every Table 1 workload and for the naive (ablation) taint
+  tables.
 * Analysis equivalence: full :class:`TaintTracker` runs (verdict,
   violation tuples, every stats counter, normalized report text),
   including across checkpoint/save/resume and under ``jobs=2``.
@@ -72,39 +73,71 @@ def test_native_kernel_is_loaded():
     assert native.kernel() is not None
 
 
-def _lockstep(name, native_circuit, numpy_circuit):
+def _record_gathered(monkeypatch, circuits):
+    """Per circuit, the port words every evaluation pass returns."""
+    gathered = {id(circuit): [] for circuit in circuits}
+    for method in ("eval_plan", "eval_combinational"):
+        original = getattr(CompiledCircuit, method)
+
+        def recording(self, *args, _original=original, **kwargs):
+            words = _original(self, *args, **kwargs)
+            gathered.setdefault(id(self), []).append(words)
+            return words
+
+        monkeypatch.setattr(CompiledCircuit, method, recording)
+    return [gathered[id(circuit)] for circuit in circuits]
+
+
+def _lockstep(name, native_circuit, numpy_circuit, monkeypatch):
+    """Codes and every gathered port word compared after each cycle."""
     program = _program(name)
+    fast_words, reference_words = _record_gathered(
+        monkeypatch, (native_circuit, numpy_circuit)
+    )
     fast = GateRunner(native_circuit, program)
     reference = GateRunner(numpy_circuit, program)
     for cycle in range(LOCKSTEP_CYCLES):
+        fast_words.clear()
+        reference_words.clear()
         fast.step()
         reference.step()
         assert np.array_equal(
             fast.soc.state.codes, reference.soc.state.codes
         ), f"{name}: codes diverged at cycle {cycle}"
+        # Two passes per cycle, three ports gathered by each.
+        assert [len(words) for words in fast_words] == [3, 3]
+        assert fast_words == reference_words, (
+            f"{name}: gathered port words diverged at cycle {cycle}"
+        )
 
 
 class TestSoCLockstep:
-    """Cycle-by-cycle codes equality on every Table 1 workload."""
+    """Cycle-by-cycle codes and port-word equality on every Table 1
+    workload."""
 
     @pytest.mark.parametrize(
         "name", [name for name in BENCHMARKS if name != "mult"]
     )
-    def test_codes_bit_identical(self, name):
-        _lockstep(name, compiled_cpu("dense"), compiled_cpu("numpy"))
+    def test_codes_bit_identical(self, name, monkeypatch):
+        _lockstep(
+            name, compiled_cpu("dense"), compiled_cpu("numpy"), monkeypatch
+        )
 
-    def test_codes_bit_identical_nonforking(self):
+    def test_codes_bit_identical_nonforking(self, monkeypatch):
         """mult, the single-path kernel the straight-line perf
         workload leans on."""
-        _lockstep("mult", compiled_cpu("dense"), compiled_cpu("numpy"))
+        _lockstep(
+            "mult", compiled_cpu("dense"), compiled_cpu("numpy"), monkeypatch
+        )
 
-    def test_naive_taint_tables_bit_identical(self):
+    def test_naive_taint_tables_bit_identical(self, monkeypatch):
         """The ablation's value-blind LUTs go through the same rows."""
         netlist = build_cpu()
         _lockstep(
             "intAVG",
             CompiledCircuit(netlist, taint_mode="naive", engine="dense"),
             CompiledCircuit(netlist, taint_mode="naive", engine="numpy"),
+            monkeypatch,
         )
 
 
@@ -350,9 +383,13 @@ class TestPickleRoundTrip:
         for i in range(5):
             circuit.set_input(state, f"in{i}", TWord.const(i & 1, 1))
         circuit.eval_plan(state, circuit.cone_plan(["out"]))
-        circuit.eval_combinational(state)
+        circuit.eval_combinational(
+            state, inputs={"in0": TWord.const(1, 1)}, outputs=("out",)
+        )
         # The lazy caches exist in the source process...
         assert getattr(circuit, "_row_tables", None) is not None
+        if native.kernel() is not None:
+            assert getattr(circuit, "_port_passes", None)
 
         clone = pickle.loads(pickle.dumps(circuit))
         # ...and must be absent after the round trip: they hold this
@@ -375,25 +412,39 @@ class TestPickleRoundTrip:
         )
 
     def test_circuit_state_survives_pickle(self):
-        """A CircuitState pickled mid-run resumes bit-identically: all
-        of its state is the codes array."""
+        """A CircuitState pickled mid-run resumes bit-identically through
+        fused passes: all of its state is the codes array.  The source
+        state's cached kernel address must not come along -- a pass on
+        the clone would write through it into the source's array."""
         netlist = random_netlist(5)
         fast = CompiledCircuit(netlist, engine="dense")
         reference = CompiledCircuit(netlist, engine="numpy")
         rng = random.Random(7)
         fstate, rstate = _drive_lockstep(fast, reference, rng, cycles=3)
+        fast.eval_combinational(fstate)  # caches fstate's address
+        source = fstate.codes.copy()
+        assert np.array_equal(source, rstate.codes)
 
-        resumed = pickle.loads(pickle.dumps(fstate))
-        for cycle in range(10):
-            word = _random_word(rng)
-            fast.set_input(resumed, "in0", word)
-            reference.set_input(rstate, "in0", word)
-            fast.eval_combinational(resumed)
-            reference.eval_combinational(rstate)
-            fast.clock_edge(resumed)
-            reference.clock_edge(rstate)
-            fast.eval_combinational(resumed)
-            reference.eval_combinational(rstate)
-            assert np.array_equal(resumed.codes, rstate.codes), (
-                f"resumed state diverged at cycle {cycle}"
-            )
+        for resumed in (pickle.loads(pickle.dumps(fstate)), fstate.copy()):
+            expected = rstate.copy()
+            for cycle in range(10):
+                word = _random_word(rng)
+                words = fast.eval_combinational(
+                    resumed, inputs={"in0": word}, outputs=("out",)
+                )
+                assert words == reference.eval_combinational(
+                    expected, inputs={"in0": word}, outputs=("out",)
+                )
+                fast.clock_edge(resumed)
+                reference.clock_edge(expected)
+                fast.eval_plan(
+                    resumed, fast.cone_plan(["out"]), outputs=("out",)
+                )
+                reference.eval_plan(
+                    expected, reference.cone_plan(["out"]),
+                    outputs=("out",),
+                )
+                assert np.array_equal(resumed.codes, expected.codes), (
+                    f"resumed state diverged at cycle {cycle}"
+                )
+        assert np.array_equal(fstate.codes, source)
